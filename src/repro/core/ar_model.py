@@ -219,6 +219,7 @@ class ARModel:
                 f"{max_coefficient_sum}"
             )
         self.max_coefficient_sum = max_coefficient_sum
+        self.seed = seed
         rng = np.random.default_rng(seed)
         # Persistence initialisation: start at "predict the nearest
         # predecessor" (weight 1 on feature 0, in standardised space).

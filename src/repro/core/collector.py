@@ -22,6 +22,7 @@ Two pairing modes cover the paper's two case studies:
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -214,6 +215,29 @@ class SeriesStore:
         return row
 
 
+class TrainingRecord:
+    """The latest work a collector's trainer did: one emission, one flush.
+
+    Collectors sharing a trainer (see
+    :class:`repro.engine.collection.SharedCollector`) share one record.
+    The first of them to observe an iteration emits the samples and
+    trains; the others replay the record instead of training the same
+    model on the same rows again.  The trailing flush of
+    :meth:`DataCollector.finalize` is recorded the same way.
+    ``seconds``/``flush_seconds`` are what that work cost, so every
+    subscriber can be charged for it.
+    """
+
+    def __init__(self) -> None:
+        self.iteration: Optional[int] = None
+        self.losses: List[float] = []
+        self.samples = 0
+        self.seconds = 0.0
+        self.flushed = False
+        self.flush_loss: Optional[float] = None
+        self.flush_seconds = 0.0
+
+
 class DataCollector:
     """Streams matching samples from the simulation into the trainer.
 
@@ -298,6 +322,10 @@ class DataCollector:
         self.store = store
         self._samples_emitted = 0
         self._rows_ingested = 0
+        # Shared with every collector training through the same trainer
+        # (share_trainer); private otherwise.
+        self._record = TrainingRecord()
+        self._borrowed_seconds = 0.0
         # Adaptive-cadence hooks (installed by the engine's cadence
         # layer; both default to "off" so standalone collectors behave
         # exactly as before).
@@ -323,6 +351,34 @@ class DataCollector:
                 f"but this collector samples {self.store.locations.tolist()}"
             )
         self.store = store
+
+    def share_trainer(self, peer: "DataCollector") -> None:
+        """Train through ``peer``'s trainer instead of this one's own.
+
+        From now on whichever of the two observes an iteration first
+        trains, and the other reuses that update (see
+        :class:`TrainingRecord`).  The caller guarantees that both would
+        emit the same samples into identically configured, untrained
+        trainers; :class:`repro.engine.collection.SharedCollector` keys
+        its sharing on exactly that.
+        """
+        self.trainer = peer.trainer
+        self._record = peer._record
+
+    def own_trainer(self, trainer: MiniBatchTrainer) -> None:
+        """Leave any shared trainer and train through ``trainer`` alone."""
+        self.trainer = trainer
+        self._record = TrainingRecord()
+
+    @property
+    def borrowed_seconds(self) -> float:
+        """Seconds of shared training this collector reused unpaid.
+
+        Another subscriber of the shared trainer ran (and was timed
+        for) the emission and update this collector reused; a solo run
+        would have paid them itself.
+        """
+        return self._borrowed_seconds
 
     @property
     def samples_emitted(self) -> int:
@@ -397,13 +453,43 @@ class DataCollector:
                 )
             self.store.add_row(iteration, row)
         self._rows_ingested += 1
+        record = self._record
+        if record.iteration == iteration:
+            # A collector sharing this trainer already trained on this
+            # row: replay its update instead of training again.  (A
+            # private record never matches: a second observe of one
+            # iteration fails in add_row above.)
+            self._samples_emitted += record.samples
+            self._borrowed_seconds += record.seconds
+            return list(record.losses)
+        tick = time.perf_counter()
+        before = self._samples_emitted
         if self.axis == "space":
-            return self._emit_spatial(iteration, row)
-        return self._emit_temporal(iteration)
+            losses = self._emit_spatial(iteration, row)
+        else:
+            losses = self._emit_temporal(iteration)
+        record.seconds = time.perf_counter() - tick
+        record.iteration = iteration
+        record.losses = losses
+        record.samples = self._samples_emitted - before
+        record.flushed = False
+        return losses
 
     def finalize(self) -> Optional[float]:
-        """Flush a trailing partial mini-batch after collection ends."""
-        return self.trainer.finalize()
+        """Flush a trailing partial mini-batch after collection ends.
+
+        The flush runs once per trainer: a repeated call, or a call by
+        another collector sharing the trainer, returns the same loss.
+        """
+        record = self._record
+        if record.flushed:
+            self._borrowed_seconds += record.flush_seconds
+        else:
+            tick = time.perf_counter()
+            record.flush_loss = self.trainer.finalize()
+            record.flush_seconds = time.perf_counter() - tick
+            record.flushed = True
+        return record.flush_loss
 
     # ------------------------------------------------------------------
 

@@ -144,12 +144,16 @@ class _ForecastState:
     produces one forecast row per temporal-grid step on demand, feeding
     each forecast back as a predictor for the next — the model replaces
     the simulation as the data source while the cadence is widened.
+
+    The model is read through the analysis on every forecast, because
+    copy-on-freeze may rebind ``analysis.model`` (see
+    :mod:`repro.engine.collection`).
     """
 
     def __init__(self, analysis) -> None:
         collector = analysis.collector
         store = collector.store
-        self.model = analysis.model
+        self.analysis = analysis
         self.axis = collector.axis
         self.order = collector.order
         self.include_self = collector.include_self
@@ -182,7 +186,7 @@ class _ForecastState:
                 [rows[-(self.lag_rows + k)] for k in range(self.order)],
                 axis=1,
             )
-            return self.model.predict_many(features)
+            return self.analysis.model.predict_many(features)
         lagged = rows[-self.lag_rows]
         windows = np.lib.stride_tricks.sliding_window_view(lagged, self.order)
         shift = 1 if self.include_self else 0
@@ -195,7 +199,7 @@ class _ForecastState:
         # lagged value (behind a travelling front that edge is the
         # saturated region, where persistence is the exact model).
         row = np.array(lagged, dtype=np.float64, copy=True)
-        row[self.first:] = self.model.predict_many(features)
+        row[self.first:] = self.analysis.model.predict_many(features)
         return row
 
     def advance_to(self, iteration: int) -> None:

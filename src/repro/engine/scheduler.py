@@ -20,6 +20,11 @@ early-stop state, and decides — under a configurable termination policy
 An analysis that requests termination is *completed*: it is never
 dispatched again, so its model/trainer state is bit-identical to an
 independent run that terminated the simulation at that iteration.
+That holds for analyses sharing one trainer too (see
+:mod:`repro.engine.collection`): the scheduler hands a completing
+analysis to :meth:`SharedCollector.freeze`, which gives it a private
+copy of the shared trainer and model while other subscribers keep
+training.
 
 :class:`InSituEngine` couples a scheduler with a
 :class:`~repro.engine.workload.SimulationApp`.  It is a thin façade
@@ -37,6 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.core.collector import DataCollector
 from repro.core.curve_fitting import Analysis
 from repro.core.events import ACTION_TERMINATE, StatusBroadcaster
 from repro.core.features import ExtractionSummary
@@ -98,11 +104,14 @@ class AnalysisScheduler:
         analysis's ``on_iteration`` hooks cost this run).  An analysis
         stops accumulating once it completes, so its total approximates
         the analysis-side cost an independent run terminating at the
-        same iteration would have paid — with one caveat: under shared
-        collection the provider sweep runs inside whichever subscriber
-        is dispatched first each iteration, so that subscriber carries
-        the (small — one provider call per window location) sampling
-        cost for the whole group.
+        same iteration would have paid.  A shared trainer runs each
+        update inside whichever subscriber is dispatched first, so the
+        seconds of every shared update are charged to each subscriber
+        that consumed it (``DataCollector.borrowed_seconds``), as a
+        solo run would have paid them.  The engines sample shared
+        windows before dispatch; without an engine (``Region``) the
+        first subscriber dispatched samples, and carries that small
+        sampling cost for the whole group.
     stop_reducer:
         Optional collective agreement hook for the termination
         decision.  When set, every dispatch passes its local
@@ -165,6 +174,11 @@ class AnalysisScheduler:
         (``stopped_at``, ``summaries``, ``analysis_seconds``) is keyed
         by name, and a silent collision would hand one analysis the
         other's numbers.
+
+        Attaching may rebind ``analysis.trainer`` and ``analysis.model``
+        onto a trainer shared with identically configured analyses
+        (see :mod:`repro.engine.collection`); read them through the
+        analysis, not through references taken before attaching.
         """
         if not isinstance(analysis, Analysis):
             raise ConfigurationError(
@@ -210,8 +224,19 @@ class AnalysisScheduler:
         }
 
     def analysis_seconds(self) -> Dict[str, float]:
-        """Accumulated dispatch seconds per analysis, keyed by name."""
-        return {s.analysis.name: s.seconds for s in self._states}
+        """Accumulated dispatch seconds per analysis, keyed by name.
+
+        Includes the shared training each analysis consumed but another
+        subscriber ran (see ``record_timings``).
+        """
+        out = {}
+        for state in self._states:
+            seconds = state.seconds
+            collector = getattr(state.analysis, "collector", None)
+            if self.record_timings and isinstance(collector, DataCollector):
+                seconds += collector.borrowed_seconds
+            out[state.analysis.name] = seconds
+        return out
 
     def summaries(self) -> Dict[str, ExtractionSummary]:
         """Per-analysis extraction summaries, keyed by analysis name."""
@@ -238,10 +263,11 @@ class AnalysisScheduler:
                 event = state.analysis.on_iteration(domain, iteration)
             if event is not None:
                 self.broadcaster.publish(event)
-                if event.action == ACTION_TERMINATE:
-                    state.stopped_at = iteration
-            if state.analysis.wants_stop and state.active:
+            if state.analysis.wants_stop or (
+                event is not None and event.action == ACTION_TERMINATE
+            ):
                 state.stopped_at = iteration
+                self.shared.freeze(state.analysis)
         satisfied = self._policy_satisfied()
         if self.stop_reducer is not None and not self._stop_requested:
             satisfied = bool(self.stop_reducer(satisfied))

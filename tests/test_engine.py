@@ -7,9 +7,12 @@ while invoking the variable provider at most once per
 (location, iteration).
 """
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core.ar_model import ARModel
 from repro.core.curve_fitting import Analysis, CurveFitting
 from repro.core.features import ExtractionSummary
 from repro.core.params import IterParam
@@ -164,6 +167,10 @@ class TestSharedCollector:
         assert a.collector.store is b.collector.store
         assert shared.n_groups == 1
         assert shared.shared_sweeps_saved == 1
+        # Different batch sizes: one sweep, but two trainers.
+        assert a.trainer is not b.trainer
+        assert shared.n_trainers == 2
+        assert shared.shared_trainings_saved == 0
 
     def test_distinct_windows_do_not_share(self):
         shared = SharedCollector()
@@ -378,8 +385,28 @@ class TestSweepEquivalence:
             )
             for threshold in thresholds
         }
-        result = engine.run()
+        fits = []
+        original = ARModel.partial_fit
+
+        def counting_partial_fit(model, x, y):
+            fits.append(model)
+            return original(model, x, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ARModel, "partial_fit", counting_partial_fit)
+            result = engine.run()
+        result.partial_fits = len(fits)
+        result.collection = engine.scheduler.shared
         return thresholds, solo, shared, result
+
+    def test_one_trainer_trains_for_the_whole_sweep(self, sweep_and_solo):
+        thresholds, _, shared, result = sweep_and_solo
+        assert result.collection.n_trainers == 1
+        assert result.collection.shared_trainings_saved == len(thresholds) - 1
+        # Every update ran once: the run's partial_fit calls are the
+        # updates of the analysis that trained longest, not the sum.
+        updates = [shared[t].trainer.updates for t in thresholds]
+        assert result.partial_fits == max(updates)
 
     def test_coefficients_bit_identical(self, sweep_and_solo):
         thresholds, solo, shared, _ = sweep_and_solo
@@ -416,6 +443,163 @@ class TestSweepEquivalence:
             _, solo_run = solo[threshold]
             name = shared[threshold].name
             assert result.stopped_at[name] == solo_run.iterations
+
+
+# ----------------------------------------------------------------------
+# shared training: one trainer per distinct update stream
+# ----------------------------------------------------------------------
+
+
+def _wave_history(n_iterations=90, n_locations=12):
+    """A travelling wave: deterministic, learnable, never constant."""
+    t = np.arange(n_iterations, dtype=np.float64)[:, None]
+    loc = np.arange(n_locations, dtype=np.float64)[None, :]
+    return 2.0 + np.sin(0.21 * t - 0.55 * loc) * np.exp(-0.01 * t)
+
+
+class _StopAtFit(CurveFitting):
+    """Curve fitting that requests termination at a scripted iteration."""
+
+    def __init__(self, stop_at=None, **kwargs):
+        super().__init__(
+            ReplayApp.provider, (0, 11, 1), (1, 80, 1), **kwargs
+        )
+        self.stop_at = stop_at
+
+    def on_iteration(self, domain, iteration):
+        event = super().on_iteration(domain, iteration)
+        if self.stop_at is not None and iteration >= self.stop_at:
+            self.wants_stop = True
+        return event
+
+
+def _fit(stop_at=None, **kwargs):
+    kwargs.setdefault("order", 3)
+    kwargs.setdefault("batch_size", 8)
+    kwargs.setdefault("min_updates", 3)
+    kwargs.setdefault("name", f"stop_{stop_at}")
+    return _StopAtFit(stop_at, **kwargs)
+
+
+def _assert_same_fit(left, right):
+    np.testing.assert_array_equal(
+        left.model.coefficients, right.model.coefficients
+    )
+    assert left.model.intercept == right.model.intercept
+    assert left.trainer.updates == right.trainer.updates
+    assert left.trainer.losses == right.trainer.losses
+    assert (
+        left.summary().converged_at_iteration
+        == right.summary().converged_at_iteration
+    )
+    assert left.summary() == right.summary()
+
+
+class TestSharedTraining:
+    STOPS = (20, 37, 62, None)
+
+    def _solo(self, stop_at, **kwargs):
+        engine = InSituEngine(ReplayApp(_wave_history()))
+        analysis = engine.add_analysis(_fit(stop_at, **kwargs))
+        result = engine.run()
+        return analysis, result
+
+    def test_staggered_stops_match_solo_runs(self):
+        engine = InSituEngine(ReplayApp(_wave_history()), policy="all")
+        shared = [engine.add_analysis(_fit(stop)) for stop in self.STOPS]
+        assert engine.scheduler.shared.n_trainers == 1
+        assert len({id(a.trainer) for a in shared}) == 1
+        result = engine.run()
+        for stop, analysis in zip(self.STOPS, shared):
+            solo, solo_result = self._solo(stop)
+            _assert_same_fit(analysis, solo)
+            assert result.stopped_at.get(analysis.name) == (
+                solo_result.stopped_at.get(solo.name)
+            )
+        # Copy-on-freeze: each analysis that stopped while others kept
+        # training holds a private trainer; the last one keeps the
+        # shared trainer.
+        assert len({id(a.trainer) for a in shared}) == len(self.STOPS)
+        for analysis in shared:
+            assert analysis.collector.trainer is analysis.trainer
+            assert analysis.trainer.model is analysis.model
+
+    @pytest.mark.parametrize(
+        "knob", [{"seed": 1}, {"learning_rate": 0.2}, {"lag": 2}]
+    )
+    def test_differing_model_keeps_its_own_trainer(self, knob):
+        collection = SharedCollector()
+        base, other = _fit(name="base"), _fit(name="other", **knob)
+        collection.subscribe(base)
+        collection.subscribe(other)
+        assert collection.n_groups == 1
+        assert collection.n_trainers == 2
+        assert collection.shared_trainings_saved == 0
+        assert base.trainer is not other.trainer
+
+    def test_ringdown_lags_keep_separate_trainers(self):
+        from repro.scenarios.ringdown import make_analyses
+
+        collection = SharedCollector()
+        analyses = make_analyses()
+        for analysis in analyses:
+            collection.subscribe(analysis)
+        assert collection.n_groups == 1
+        assert collection.n_trainers == len(analyses)
+        assert len({id(a.model) for a in analyses}) == len(analyses)
+
+    def test_subclassed_model_keeps_its_own_trainer(self):
+        class _Model(ARModel):
+            pass
+
+        collection = SharedCollector()
+        base, custom = _fit(name="base"), _fit(name="custom")
+        custom.model.__class__ = _Model
+        collection.subscribe(base)
+        collection.subscribe(custom)
+        assert collection.n_trainers == 2
+        assert isinstance(custom.model, _Model)
+
+    def test_late_joiner_gets_a_fresh_trainer(self):
+        def run(first_seed):
+            engine = InSituEngine(ReplayApp(_wave_history()), policy="all")
+            first = engine.add_analysis(_fit(name="first", seed=first_seed))
+            engine.run(max_iterations=30)
+            assert first.trainer.updates > 0
+            late = engine.add_analysis(_fit(name="late"))
+            engine.run()
+            return engine, first, late
+
+        engine, first, late = run(first_seed=0)
+        assert late.trainer is not first.trainer
+        assert late.collector.store is first.collector.store
+        assert engine.scheduler.shared.n_trainers == 2
+        # The late joiner's fit equals one that never could have shared
+        # (the first analysis has a different seed there).
+        _, _, control = run(first_seed=1)
+        _assert_same_fit(late, control)
+
+    def test_every_subscriber_is_charged_the_shared_training(
+        self, monkeypatch
+    ):
+        pause = 0.01
+        original = ARModel.partial_fit
+
+        def slow_partial_fit(model, x, y):
+            time.sleep(pause)
+            return original(model, x, y)
+
+        monkeypatch.setattr(ARModel, "partial_fit", slow_partial_fit)
+        engine = InSituEngine(
+            ReplayApp(_wave_history(40)), policy="all", record_timings=True
+        )
+        analyses = [engine.add_analysis(_fit(name=f"a{i}")) for i in range(3)]
+        result = engine.run()
+        updates = analyses[0].trainer.updates
+        assert updates > 0
+        assert engine.scheduler.shared.n_trainers == 1
+        for analysis in analyses:
+            assert result.analysis_seconds[analysis.name] >= updates * pause
 
 
 # ----------------------------------------------------------------------
