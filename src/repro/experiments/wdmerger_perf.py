@@ -1,8 +1,9 @@
 """wdmerger performance experiments: Table VII.
 
 Measures three execution modes per resolution — original, with feature
-extraction (non-stop), and with early termination — then projects each
-onto the paper's MPI x OpenMP configurations with the scaling model.
+extraction (non-stop), and with early termination — interleaved and
+best of three each, then projects each onto the paper's MPI x OpenMP
+configurations with the scaling model.
 """
 
 from __future__ import annotations
@@ -89,56 +90,67 @@ def _warmup() -> None:
     _warmed_up = True
 
 
-def _repeats(resolution: int) -> int:
-    """Cheap runs are measured best-of-2 to damp scheduler noise."""
-    return 2 if resolution <= 32 else 1
+#: Best-of-N per leg.  Overhead is a small difference of two times, so
+#: every resolution gets at least three rounds.
+REPEATS = 3
 
 
 def measure_original(resolution: int) -> WdMeasuredRun:
-    _warmup()
-    best = None
-    for _ in range(_repeats(resolution)):
-        sim = WdMergerSimulation(resolution)
-        start = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best.seconds:
-            best = WdMeasuredRun(
-                resolution=resolution,
-                iterations=sim.iteration,
-                seconds=elapsed,
-            )
-    return best
+    sim = WdMergerSimulation(resolution)
+    start = time.perf_counter()
+    sim.run()
+    elapsed = time.perf_counter() - start
+    return WdMeasuredRun(
+        resolution=resolution, iterations=sim.iteration, seconds=elapsed
+    )
 
 
 def measure_instrumented(
     resolution: int, *, early_stop: bool, ranks: int = 8
 ) -> WdMeasuredRun:
+    sim = WdMergerSimulation(resolution)
+    comm = SimComm(ranks)
+    engine = InSituEngine(WdMergerApp(sim), comm=comm, name="wdmerger")
+    analyses = _attach_analyses(sim, engine, early_stop=early_stop)
+    start = time.perf_counter()
+    engine.run()
+    elapsed = time.perf_counter() - start
+    delay = None
+    for analysis in analyses:
+        if analysis.delay_feature is not None:
+            delay = analysis.delay_feature.delay_time
+            break
+    return WdMeasuredRun(
+        resolution=resolution,
+        iterations=sim.iteration,
+        seconds=elapsed,
+        broadcasts=comm.broadcast_count,
+        stopped_at_time=sim.time,
+        delay_time=delay,
+    )
+
+
+def measure_legs(
+    resolution: int,
+) -> Tuple[WdMeasuredRun, WdMeasuredRun, WdMeasuredRun]:
+    """Best-of-:data:`REPEATS` (original, no-stop, stop) runs.
+
+    The three legs run interleaved, one of each per round, so a slow
+    drift of the host's speed shifts all three alike instead of landing
+    on whichever leg happened to be timed during it.
+    """
     _warmup()
     best = None
-    for _ in range(_repeats(resolution)):
-        sim = WdMergerSimulation(resolution)
-        comm = SimComm(ranks)
-        engine = InSituEngine(WdMergerApp(sim), comm=comm, name="wdmerger")
-        analyses = _attach_analyses(sim, engine, early_stop=early_stop)
-        start = time.perf_counter()
-        engine.run()
-        elapsed = time.perf_counter() - start
-        delay = None
-        for analysis in analyses:
-            if analysis.delay_feature is not None:
-                delay = analysis.delay_feature.delay_time
-                break
-        run = WdMeasuredRun(
-            resolution=resolution,
-            iterations=sim.iteration,
-            seconds=elapsed,
-            broadcasts=comm.broadcast_count,
-            stopped_at_time=sim.time,
-            delay_time=delay,
+    for _ in range(REPEATS):
+        runs = (
+            measure_original(resolution),
+            measure_instrumented(resolution, early_stop=False),
+            measure_instrumented(resolution, early_stop=True),
         )
-        if best is None or run.seconds < best.seconds:
-            best = run
+        best = runs if best is None else tuple(
+            run if run.seconds < kept.seconds else kept
+            for run, kept in zip(runs, best)
+        )
     return best
 
 
@@ -159,12 +171,7 @@ def table7(
             "(~48% at 16^3 up to ~67% at 48^3)."
         ),
     )
-    measured = {}
-    for resolution in resolutions:
-        origin = measure_original(resolution)
-        nonstop = measure_instrumented(resolution, early_stop=False)
-        stop = measure_instrumented(resolution, early_stop=True)
-        measured[resolution] = (origin, nonstop, stop)
+    measured = {resolution: measure_legs(resolution) for resolution in resolutions}
     for ranks, threads in configs:
         for resolution in resolutions:
             origin, nonstop, stop = measured[resolution]

@@ -12,17 +12,46 @@ are preserved deliberately:
   blob moving across cells produces small orbital-frequency wiggles
   that shrink as the grid refines, which is exactly the noise the AR
   fit has to ride out.
+
+The kernels avoid full-grid temporaries: the cell-centre coordinates
+are broadcast views, and each deposit or integral evaluates in place
+into work buffers the grid owns.  Every cell still goes through the
+same IEEE operations in the same order as the plain elementwise
+formulas over full coordinate arrays, so the results are bit-identical
+to them.  Each step still makes a fixed number of passes over all
+``resolution^3`` cells, so the cost scaling above holds.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
 
+def _sum_of_squares(dx, dy, dz, out: np.ndarray) -> np.ndarray:
+    """``out = dx**2 + dy**2 + dz**2`` over broadcast coordinate offsets."""
+    return np.add(dx**2 + dy**2, dz**2, out=out)
+
+
+def _check_deposit(mass: float, **inputs) -> None:
+    """Reject a negative mass and any non-finite deposit input."""
+    for name, value in {"mass": mass, **inputs}.items():
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+    if mass < 0:
+        raise ConfigurationError(f"mass must be >= 0, got {mass}")
+
+
 class DiagnosticGrid:
     """Uniform cubic grid centred on the origin.
+
+    ``x``, ``y`` and ``z`` are the cell-centre coordinates as broadcast
+    views of shapes ``(n, 1, 1)``, ``(1, n, 1)`` and ``(1, 1, n)``;
+    an expression over them broadcasts to the full ``(n, n, n)`` grid.
+    The fields (``density``, ``momentum_*``) are full arrays.
 
     Parameters
     ----------
@@ -48,14 +77,21 @@ class DiagnosticGrid:
         self.dx = 2.0 * half_width / resolution
         self.cell_volume = self.dx**3
         centers = (np.arange(resolution) + 0.5) * self.dx - half_width
-        self.x, self.y, self.z = np.meshgrid(
-            centers, centers, centers, indexing="ij"
-        )
+        self.x = centers[:, None, None]
+        self.y = centers[None, :, None]
+        self.z = centers[None, None, :]
         shape = (resolution,) * 3
         self.density = np.zeros(shape)
         self.momentum_x = np.zeros(shape)
         self.momentum_y = np.zeros(shape)
         self.momentum_z = np.zeros(shape)
+        self._work = np.empty(shape)
+        self._work2 = np.empty(shape)
+        # Squared wavenumbers of the real-to-complex FFT layout.
+        k1 = 2.0 * np.pi * np.fft.fftfreq(resolution, d=self.dx)
+        k3 = 2.0 * np.pi * np.fft.rfftfreq(resolution, d=self.dx)
+        self._k2 = k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k3**2
+        self._k2[0, 0, 0] = 1.0  # zero mode: zeroed after the divide
 
     def clear(self) -> None:
         """Zero all fields before a new deposit pass."""
@@ -85,30 +121,31 @@ class DiagnosticGrid:
         in the grid integral).  Mass falling outside the grid is simply
         lost — the desired "no longer bound" behaviour.
         """
-        if mass < 0:
-            raise ConfigurationError(f"mass must be >= 0, got {mass}")
+        if not 0 < radius < math.inf:
+            raise ConfigurationError(
+                f"radius must be positive and finite, got {radius}"
+            )
+        _check_deposit(mass, center=center, velocity=velocity, spin=spin)
         if mass == 0.0:
             return
-        if radius <= 0:
-            raise ConfigurationError(f"radius must be positive, got {radius}")
         cx, cy, cz = (float(c) for c in center)
-        r2 = (self.x - cx) ** 2 + (self.y - cy) ** 2 + (self.z - cz) ** 2
-        width2 = (0.5 * radius) ** 2
-        profile = np.exp(-0.5 * r2 / width2)
-        norm = profile.sum() * self.cell_volume
+        rho = _sum_of_squares(self.x - cx, self.y - cy, self.z - cz, self._work)
+        rho *= -0.5
+        rho /= (0.5 * radius) ** 2
+        np.exp(rho, out=rho)
+        norm = rho.sum() * self.cell_volume
         if norm <= 0.0:
             return  # entirely off-grid
-        rho = profile * (mass / norm)
+        rho *= mass / norm
         self.density += rho
         vx, vy, vz = (float(v) for v in velocity)
         if spin != 0.0:
             # v_spin = omega x (r - c) for rotation about z.
-            self.momentum_x += rho * (vx - spin * (self.y - cy))
-            self.momentum_y += rho * (vy + spin * (self.x - cx))
-        else:
-            self.momentum_x += rho * vx
-            self.momentum_y += rho * vy
-        self.momentum_z += rho * vz
+            vx = vx - spin * (self.y - cy)
+            vy = vy + spin * (self.x - cx)
+        self.momentum_x += np.multiply(rho, vx, out=self._work2)
+        self.momentum_y += np.multiply(rho, vy, out=self._work2)
+        self.momentum_z += np.multiply(rho, vz, out=self._work2)
 
     def deposit_shell(
         self,
@@ -126,21 +163,22 @@ class DiagnosticGrid:
         mass decays as it expands — producing the post-detonation mass
         decline of Fig. 8.
         """
-        if mass < 0:
-            raise ConfigurationError(f"mass must be >= 0, got {mass}")
-        if mass == 0.0:
-            return
-        if radius < 0 or width <= 0:
+        if not (0 <= radius < math.inf and 0 < width < math.inf):
             raise ConfigurationError(
-                f"radius must be >= 0 and width positive, got "
+                f"radius must be >= 0 and width positive, both finite, got "
                 f"radius={radius}, width={width}"
             )
+        _check_deposit(mass, center=center, expansion_speed=expansion_speed)
+        if mass == 0.0:
+            return
         cx, cy, cz = (float(c) for c in center)
-        dxp = self.x - cx
-        dyp = self.y - cy
-        dzp = self.z - cz
-        r = np.sqrt(dxp**2 + dyp**2 + dzp**2)
-        profile = np.exp(-0.5 * ((r - radius) / width) ** 2)
+        offsets = (self.x - cx, self.y - cy, self.z - cz)
+        r = np.sqrt(_sum_of_squares(*offsets, self._work), out=self._work)
+        rho = np.subtract(r, radius, out=self._work2)
+        rho /= width
+        np.square(rho, out=rho)
+        rho *= -0.5
+        np.exp(rho, out=rho)
         # Normalise against the *unbounded* shell so off-grid mass is lost.
         r_samples = np.linspace(
             max(1e-6, radius - 6 * width), radius + 6 * width, 512
@@ -151,13 +189,17 @@ class DiagnosticGrid:
         )
         if analytic_norm <= 0.0:
             return
-        rho = profile * (mass / analytic_norm)
+        rho *= mass / analytic_norm
         self.density += rho
         with np.errstate(invalid="ignore", divide="ignore"):
             inv_r = np.where(r > 1e-9, 1.0 / r, 0.0)
-        self.momentum_x += rho * expansion_speed * dxp * inv_r
-        self.momentum_y += rho * expansion_speed * dyp * inv_r
-        self.momentum_z += rho * expansion_speed * dzp * inv_r
+        rho *= expansion_speed
+        for offset, momentum in zip(
+            offsets, (self.momentum_x, self.momentum_y, self.momentum_z)
+        ):
+            flux = np.multiply(rho, offset, out=self._work)
+            flux *= inv_r
+            momentum += flux
 
     # ------------------------------------------------------------------
     # integrals
@@ -169,13 +211,17 @@ class DiagnosticGrid:
 
     def angular_momentum_z(self) -> float:
         """z angular momentum: integral of x*py - y*px."""
-        lz = self.x * self.momentum_y - self.y * self.momentum_x
+        lz = np.multiply(self.x, self.momentum_y, out=self._work)
+        lz -= np.multiply(self.y, self.momentum_x, out=self._work2)
         return float(lz.sum() * self.cell_volume)
 
     def kinetic_energy(self) -> float:
         """Kinetic energy from the momentum field."""
-        p2 = self.momentum_x**2 + self.momentum_y**2 + self.momentum_z**2
-        ke = np.zeros_like(p2)
+        p2 = np.square(self.momentum_x, out=self._work)
+        p2 += np.square(self.momentum_y, out=self._work2)
+        p2 += np.square(self.momentum_z, out=self._work2)
+        ke = self._work2
+        ke.fill(0.0)
         significant = self.density > 1e-12
         np.divide(p2, self.density, out=ke, where=significant)
         return float(0.5 * ke.sum() * self.cell_volume)
@@ -204,18 +250,15 @@ class DiagnosticGrid:
         the simulation the same work profile as the real code's
         gravity solve.
         """
-        rho_hat = np.fft.rfftn(self.density)
-        n = self.resolution
-        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
-        k3 = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.dx)
-        kx, ky, kz = np.meshgrid(k1, k1, k3, indexing="ij")
-        k2 = kx**2 + ky**2 + kz**2
-        k2[0, 0, 0] = 1.0  # zero mode: set below
-        phi_hat = -4.0 * np.pi * rho_hat / k2
+        phi_hat = np.fft.rfftn(self.density)
+        phi_hat *= -4.0 * np.pi
+        phi_hat /= self._k2
         phi_hat[0, 0, 0] = 0.0
+        n = self.resolution
         return np.fft.irfftn(phi_hat, s=(n, n, n), axes=(0, 1, 2))
 
     def gravitational_energy(self) -> float:
         """Self-gravitational binding energy 0.5 * integral(rho * phi)."""
         phi = self.solve_gravity()
-        return float(0.5 * (self.density * phi).sum() * self.cell_volume)
+        phi *= self.density
+        return float(0.5 * phi.sum() * self.cell_volume)

@@ -1,12 +1,16 @@
 """Tests for wdmerger physics components: WD structure, binary, GW,
 mass transfer, burning, diagnostic grid."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.wdmerger import (
+    DIAGNOSTIC_NAMES,
     Binary,
     BurningModel,
     DiagnosticGrid,
@@ -319,3 +323,276 @@ class TestDiagnosticGrid:
         grid.clear()
         assert grid.total_mass() == 0.0
         assert grid.kinetic_energy() == 0.0
+
+    def test_zero_mass_still_validates_geometry(self):
+        grid = DiagnosticGrid(16)
+        with pytest.raises(ConfigurationError):
+            grid.deposit_blob(np.zeros(3), 0.0, 0.0, np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            grid.deposit_blob(np.zeros(3), 0.0, float("nan"), np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            grid.deposit_shell(np.zeros(3), 0.0, -1.0, 0.4, 0.1)
+        with pytest.raises(ConfigurationError):
+            grid.deposit_shell(np.zeros(3), 0.0, 1.0, 0.0, 0.1)
+        with pytest.raises(ConfigurationError):
+            grid.deposit_shell(np.zeros(3), 0.0, 1.0, float("inf"), 0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mass": float("nan")},
+            {"mass": float("inf")},
+            {"center": np.array([0.0, float("nan"), 0.0])},
+            {"velocity": np.array([float("inf"), 0.0, 0.0])},
+            {"spin": float("nan")},
+        ],
+    )
+    def test_blob_rejects_non_finite_inputs(self, kwargs):
+        grid = DiagnosticGrid(16)
+        args = {
+            "center": np.zeros(3),
+            "mass": 1.0,
+            "radius": 0.5,
+            "velocity": np.zeros(3),
+            **kwargs,
+        }
+        with pytest.raises(ConfigurationError):
+            grid.deposit_blob(**args)
+        assert grid.total_mass() == 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mass": float("nan")},
+            {"center": np.array([float("inf"), 0.0, 0.0])},
+            {"expansion_speed": float("nan")},
+        ],
+    )
+    def test_shell_rejects_non_finite_inputs(self, kwargs):
+        grid = DiagnosticGrid(16)
+        args = {
+            "center": np.zeros(3),
+            "mass": 1.0,
+            "radius": 1.0,
+            "width": 0.4,
+            "expansion_speed": 0.1,
+            **kwargs,
+        }
+        with pytest.raises(ConfigurationError):
+            grid.deposit_shell(**args)
+        assert grid.total_mass() == 0.0
+
+
+class _ReferenceGrid:
+    """The diagnostic grid's formulas over full ``meshgrid`` coordinates.
+
+    A plain elementwise statement of every deposit and integral, with
+    no broadcasting or buffer reuse; :class:`DiagnosticGrid` must
+    reproduce it bit for bit.
+    """
+
+    def __init__(self, resolution, half_width):
+        self.resolution = resolution
+        self.dx = 2.0 * half_width / resolution
+        self.cell_volume = self.dx**3
+        centers = (np.arange(resolution) + 0.5) * self.dx - half_width
+        self.x, self.y, self.z = np.meshgrid(
+            centers, centers, centers, indexing="ij"
+        )
+        shape = (resolution,) * 3
+        self.density = np.zeros(shape)
+        self.momentum_x = np.zeros(shape)
+        self.momentum_y = np.zeros(shape)
+        self.momentum_z = np.zeros(shape)
+
+    def deposit_blob(self, center, mass, radius, velocity, *, spin=0.0):
+        cx, cy, cz = (float(c) for c in center)
+        r2 = (self.x - cx) ** 2 + (self.y - cy) ** 2 + (self.z - cz) ** 2
+        width2 = (0.5 * radius) ** 2
+        profile = np.exp(-0.5 * r2 / width2)
+        norm = profile.sum() * self.cell_volume
+        if norm <= 0.0:
+            return
+        rho = profile * (mass / norm)
+        self.density += rho
+        vx, vy, vz = (float(v) for v in velocity)
+        if spin != 0.0:
+            self.momentum_x += rho * (vx - spin * (self.y - cy))
+            self.momentum_y += rho * (vy + spin * (self.x - cx))
+        else:
+            self.momentum_x += rho * vx
+            self.momentum_y += rho * vy
+        self.momentum_z += rho * vz
+
+    def deposit_shell(self, center, mass, radius, width, expansion_speed):
+        cx, cy, cz = (float(c) for c in center)
+        dxp = self.x - cx
+        dyp = self.y - cy
+        dzp = self.z - cz
+        r = np.sqrt(dxp**2 + dyp**2 + dzp**2)
+        profile = np.exp(-0.5 * ((r - radius) / width) ** 2)
+        r_samples = np.linspace(
+            max(1e-6, radius - 6 * width), radius + 6 * width, 512
+        )
+        shell_profile = np.exp(-0.5 * ((r_samples - radius) / width) ** 2)
+        analytic_norm = 4.0 * np.pi * np.trapezoid(
+            shell_profile * r_samples**2, r_samples
+        )
+        rho = profile * (mass / analytic_norm)
+        self.density += rho
+        with np.errstate(invalid="ignore", divide="ignore"):
+            inv_r = np.where(r > 1e-9, 1.0 / r, 0.0)
+        self.momentum_x += rho * expansion_speed * dxp * inv_r
+        self.momentum_y += rho * expansion_speed * dyp * inv_r
+        self.momentum_z += rho * expansion_speed * dzp * inv_r
+
+    def total_mass(self):
+        return float(self.density.sum() * self.cell_volume)
+
+    def angular_momentum_z(self):
+        lz = self.x * self.momentum_y - self.y * self.momentum_x
+        return float(lz.sum() * self.cell_volume)
+
+    def kinetic_energy(self):
+        p2 = self.momentum_x**2 + self.momentum_y**2 + self.momentum_z**2
+        ke = np.zeros_like(p2)
+        significant = self.density > 1e-12
+        np.divide(p2, self.density, out=ke, where=significant)
+        return float(0.5 * ke.sum() * self.cell_volume)
+
+    def mass_within(self, radius):
+        inside = (self.x**2 + self.y**2 + self.z**2) <= radius**2
+        return float(self.density[inside].sum() * self.cell_volume)
+
+    def gravitational_energy(self):
+        rho_hat = np.fft.rfftn(self.density)
+        n = self.resolution
+        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
+        k3 = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.dx)
+        kx, ky, kz = np.meshgrid(k1, k1, k3, indexing="ij")
+        k2 = kx**2 + ky**2 + kz**2
+        k2[0, 0, 0] = 1.0
+        phi_hat = -4.0 * np.pi * rho_hat / k2
+        phi_hat[0, 0, 0] = 0.0
+        phi = np.fft.irfftn(phi_hat, s=(n, n, n), axes=(0, 1, 2))
+        return float(0.5 * (self.density * phi).sum() * self.cell_volume)
+
+
+def _orbiting_pair(grid):
+    grid.deposit_blob(
+        np.array([1.05, 0.3, 0.0]), 0.9, 0.55, np.array([-0.12, 0.41, 0.0])
+    )
+    grid.deposit_blob(
+        np.array([-1.4, -0.45, 0.0]), 0.6, 0.8, np.array([0.17, -0.6, 0.0])
+    )
+
+
+def _spinning_blob(grid):
+    grid.deposit_blob(
+        np.array([0.1, -0.2, 0.05]), 1.3, 0.9, np.array([0.02, 0.0, -0.01]),
+        spin=0.73,
+    )
+
+
+def _partly_off_grid_blob(grid):
+    grid.deposit_blob(
+        np.array([2.6, -0.3, 1.1]), 1.0, 1.2, np.array([0.3, 0.1, 0.0])
+    )
+
+
+def _shell(grid):
+    grid.deposit_shell(np.zeros(3), 0.45, 1.7, 0.62, 0.15)
+
+
+def _blob_then_shell(grid):
+    grid.deposit_blob(np.zeros(3), 1.1, 0.5, np.zeros(3), spin=0.4)
+    grid.deposit_shell(np.array([0.05, 0.0, -0.1]), 0.4, 2.3, 0.7, 0.15)
+
+
+class TestDiagnosticGridBitIdentity:
+    """Broadcast/in-place kernels equal the full-meshgrid formulas exactly."""
+
+    @pytest.mark.parametrize("resolution", [16, 24])
+    @pytest.mark.parametrize(
+        "deposit",
+        [
+            _orbiting_pair,
+            _spinning_blob,
+            _partly_off_grid_blob,
+            _shell,
+            _blob_then_shell,
+        ],
+    )
+    def test_matches_meshgrid_reference(self, resolution, deposit):
+        grid = DiagnosticGrid(resolution, half_width=3.5)
+        reference = _ReferenceGrid(resolution, half_width=3.5)
+        deposit(grid)
+        deposit(reference)
+        for field in ("density", "momentum_x", "momentum_y", "momentum_z"):
+            assert np.array_equal(
+                getattr(grid, field), getattr(reference, field)
+            ), field
+        for integral in (
+            "total_mass",
+            "angular_momentum_z",
+            "kinetic_energy",
+            "gravitational_energy",
+        ):
+            assert (
+                getattr(grid, integral)() == getattr(reference, integral)()
+            ), integral
+        for radius in (0.0, 0.9, 2.0, 10.0):
+            assert grid.mass_within(radius) == reference.mass_within(radius)
+        # The integrals do not disturb the fields: a second pass agrees.
+        assert grid.kinetic_energy() == reference.kinetic_energy()
+        assert grid.total_mass() == reference.total_mass()
+
+
+GRID_GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "data",
+    "golden_wdmerger_grid.json",
+)
+
+
+def test_grid_scenario_matches_golden(monkeypatch):
+    """``wdmerger-detonation`` on the 3-D grid reproduces pinned values.
+
+    The golden holds every per-step diagnostic and the final fit of a
+    ``maintain_grid=True`` run at resolution 16; equality is exact.
+    """
+    import repro.wdmerger
+    from repro import scenarios
+
+    with open(GRID_GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    built = []
+
+    class _Recording(repro.wdmerger.WdMergerSimulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(repro.wdmerger, "WdMergerSimulation", _Recording)
+    run = scenarios.run_scenario(
+        "wdmerger-detonation",
+        config=scenarios.RunConfig(params=golden["params"]),
+    )
+    (sim,) = built
+    assert sim.grid is not None
+    history = golden["history"]
+    assert sim.history.times.tolist() == history["time"]
+    for name in DIAGNOSTIC_NAMES:
+        assert sim.history.series(name).tolist() == history[name], name
+    assert run.result.iterations == golden["iterations"]
+    assert dict(run.result.stopped_at) == golden["stopped_at"]
+    assert run.result.terminated_early == golden["terminated_early"]
+    assert run.error == golden["error"]
+    assert run.metrics["delay_time"] == golden["delay_time"]
+    (analysis,) = run.analyses
+    expected = golden["analysis"]
+    assert analysis.name == expected["name"]
+    assert analysis.model.coefficients.tolist() == expected["coefficients"]
+    assert float(analysis.model.intercept) == expected["intercept"]
+    assert analysis.trainer.updates == expected["updates"]
+    assert analysis.collector.samples_emitted == expected["samples_emitted"]
