@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,29 @@ from repro.core.params import IterParam, as_iter_param
 from repro.engine import InSituEngine, ReplayApp
 from repro.errors import ConfigurationError
 from repro.scenarios import build_sim
+
+
+#: Rounds of the overhead tables' timed runs (Tables III and VII).
+#: Overhead is a small difference of two times, so every leg is timed
+#: at least three times.
+REPEATS = 3
+
+
+def best_of_rounds(measure_round: Callable[[], Tuple]) -> Tuple:
+    """Per-leg fastest of :data:`REPEATS` calls of ``measure_round``.
+
+    Each round times every leg once (a tuple of runs with ``seconds``),
+    so the legs run interleaved: a slow drift of the host's speed
+    shifts all of them alike instead of landing on whichever leg
+    happened to be timed during it.
+    """
+    best = measure_round()
+    for _ in range(REPEATS - 1):
+        best = tuple(
+            run if run.seconds < kept.seconds else kept
+            for run, kept in zip(measure_round(), best)
+        )
+    return best
 
 
 @dataclass

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.params import IterParam
 from repro.engine import InSituEngine, LuleshApp
-from repro.experiments.common import Table
+from repro.experiments.common import Table, best_of_rounds
 from repro.experiments.scaling import ScalingModel
 from repro.instrument.overhead import overhead_percent, share_percent
 from repro.lulesh import LuleshSimulation
@@ -139,6 +139,23 @@ def measure_instrumented(
     )
 
 
+def measure_pair(size: int, *, ranks: int) -> Tuple[MeasuredRun, MeasuredRun]:
+    """Best-of-``REPEATS`` (origin, non-stop) runs, interleaved.
+
+    One of each leg per round (see
+    :func:`~repro.experiments.common.best_of_rounds`); each non-stop run
+    collects over the iteration count of the origin run before it.
+    """
+
+    def measure_round() -> Tuple[MeasuredRun, MeasuredRun]:
+        origin = measure_original(size)
+        return origin, measure_instrumented(
+            size, origin.iterations, ranks=ranks, early_stop=False
+        )
+
+    return best_of_rounds(measure_round)
+
+
 def measure_sweep(
     size: int,
     total_iterations: int,
@@ -194,8 +211,9 @@ def table3(
 ) -> Table:
     """Table III: original vs with-FE execution time and overhead (%).
 
-    One serial pair (origin, non-stop) is measured per size; each MPI
-    configuration's row applies the scaling model to both, with the
+    One serial pair (origin, non-stop) is measured per size, best of
+    :data:`~repro.experiments.common.REPEATS` interleaved rounds; each
+    MPI configuration's row applies the scaling model to both, with the
     broadcast charges added to the instrumented side only.
     """
     table = Table(
@@ -206,13 +224,7 @@ def table3(
             "all rank counts and sizes."
         ),
     )
-    measured = {}
-    for size in sizes:
-        origin = measure_original(size)
-        instrumented = measure_instrumented(
-            size, origin.iterations, ranks=max(ranks), early_stop=False
-        )
-        measured[size] = (origin, instrumented)
+    measured = {size: measure_pair(size, ranks=max(ranks)) for size in sizes}
     for n_ranks in ranks:
         for size in sizes:
             origin, instrumented = measured[size]

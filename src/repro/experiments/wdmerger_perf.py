@@ -2,8 +2,9 @@
 
 Measures three execution modes per resolution — original, with feature
 extraction (non-stop), and with early termination — interleaved and
-best of three each, then projects each onto the paper's MPI x OpenMP
-configurations with the scaling model.
+best of :data:`~repro.experiments.common.REPEATS` each, then projects
+each onto the paper's MPI x OpenMP configurations with the scaling
+model.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core.params import IterParam
 from repro.engine import InSituEngine, WdMergerApp
-from repro.experiments.common import Table
+from repro.experiments.common import Table, best_of_rounds
 from repro.experiments.scaling import ScalingModel
 from repro.instrument.overhead import acceleration_percent, overhead_percent
 from repro.parallel.comm import SimComm
@@ -90,11 +91,6 @@ def _warmup() -> None:
     _warmed_up = True
 
 
-#: Best-of-N per leg.  Overhead is a small difference of two times, so
-#: every resolution gets at least three rounds.
-REPEATS = 3
-
-
 def measure_original(resolution: int) -> WdMeasuredRun:
     sim = WdMergerSimulation(resolution)
     start = time.perf_counter()
@@ -133,25 +129,19 @@ def measure_instrumented(
 def measure_legs(
     resolution: int,
 ) -> Tuple[WdMeasuredRun, WdMeasuredRun, WdMeasuredRun]:
-    """Best-of-:data:`REPEATS` (original, no-stop, stop) runs.
+    """Best-of-``REPEATS`` (original, no-stop, stop) runs.
 
-    The three legs run interleaved, one of each per round, so a slow
-    drift of the host's speed shifts all three alike instead of landing
-    on whichever leg happened to be timed during it.
+    The three legs run interleaved, one of each per round (see
+    :func:`~repro.experiments.common.best_of_rounds`).
     """
     _warmup()
-    best = None
-    for _ in range(REPEATS):
-        runs = (
+    return best_of_rounds(
+        lambda: (
             measure_original(resolution),
             measure_instrumented(resolution, early_stop=False),
             measure_instrumented(resolution, early_stop=True),
         )
-        best = runs if best is None else tuple(
-            run if run.seconds < kept.seconds else kept
-            for run, kept in zip(runs, best)
-        )
-    return best
+    )
 
 
 def table7(

@@ -15,11 +15,16 @@ are preserved deliberately:
 
 The kernels avoid full-grid temporaries: the cell-centre coordinates
 are broadcast views, and each deposit or integral evaluates in place
-into work buffers the grid owns.  Every cell still goes through the
-same IEEE operations in the same order as the plain elementwise
-formulas over full coordinate arrays, so the results are bit-identical
-to them.  Each step still makes a fixed number of passes over all
-``resolution^3`` cells, so the cost scaling above holds.
+into work buffers the grid owns.  The gravity solve's FFT pair runs in
+place in an owned spectrum buffer (numpy's ``rfftn`` with ``out=``,
+then ``irfftn``'s own axis loop written out with ``out=`` on every
+axis), so a step (clear, deposits, all four integrals) allocates no
+full-grid array.  Every cell still goes through the same IEEE
+operations in the same order as the plain elementwise formulas over
+full coordinate arrays and numpy's ``rfftn``/``irfftn``, so the results
+are bit-identical to them.  Each step still makes a fixed number of
+passes over all ``resolution^3`` cells, so the cost scaling above
+holds.
 """
 
 from __future__ import annotations
@@ -34,6 +39,24 @@ from repro.errors import ConfigurationError
 def _sum_of_squares(dx, dy, dz, out: np.ndarray) -> np.ndarray:
     """``out = dx**2 + dy**2 + dz**2`` over broadcast coordinate offsets."""
     return np.add(dx**2 + dy**2, dz**2, out=out)
+
+
+def check_resolution(resolution, minimum: int) -> int:
+    """``resolution`` as an ``int``; it must be an integer >= ``minimum``.
+
+    Any integer type is accepted (numpy's too), except ``bool``.
+    """
+    if isinstance(resolution, bool) or not isinstance(
+        resolution, (int, np.integer)
+    ):
+        raise ConfigurationError(
+            f"resolution must be an integer, got {resolution!r}"
+        )
+    if resolution < minimum:
+        raise ConfigurationError(
+            f"resolution must be >= {minimum}, got {resolution}"
+        )
+    return int(resolution)
 
 
 def _check_deposit(mass: float, **inputs) -> None:
@@ -51,7 +74,10 @@ class DiagnosticGrid:
     ``x``, ``y`` and ``z`` are the cell-centre coordinates as broadcast
     views of shapes ``(n, 1, 1)``, ``(1, n, 1)`` and ``(1, 1, n)``;
     an expression over them broadcasts to the full ``(n, n, n)`` grid.
-    The fields (``density``, ``momentum_*``) are full arrays.
+    The fields (``density``, ``momentum_*``) are full arrays.  The grid
+    also owns every buffer a step needs: three real work arrays, a bool
+    mask and the ``(n, n, n//2 + 1)`` complex spectrum of the gravity
+    solve, all allocated once here.
 
     Parameters
     ----------
@@ -64,13 +90,10 @@ class DiagnosticGrid:
     """
 
     def __init__(self, resolution: int, half_width: float = 4.0) -> None:
-        if resolution < 4:
+        resolution = check_resolution(resolution, 4)
+        if not 0 < half_width < math.inf:
             raise ConfigurationError(
-                f"resolution must be >= 4, got {resolution}"
-            )
-        if half_width <= 0:
-            raise ConfigurationError(
-                f"half_width must be positive, got {half_width}"
+                f"half_width must be positive and finite, got {half_width}"
             )
         self.resolution = resolution
         self.half_width = half_width
@@ -87,6 +110,11 @@ class DiagnosticGrid:
         self.momentum_z = np.zeros(shape)
         self._work = np.empty(shape)
         self._work2 = np.empty(shape)
+        self._work3 = np.empty(shape)
+        self._mask = np.empty(shape, dtype=bool)
+        self._spectrum = np.empty(
+            (resolution, resolution, resolution // 2 + 1), dtype=complex
+        )
         # Squared wavenumbers of the real-to-complex FFT layout.
         k1 = 2.0 * np.pi * np.fft.fftfreq(resolution, d=self.dx)
         k3 = 2.0 * np.pi * np.fft.rfftfreq(resolution, d=self.dx)
@@ -191,8 +219,10 @@ class DiagnosticGrid:
             return
         rho *= mass / analytic_norm
         self.density += rho
-        with np.errstate(invalid="ignore", divide="ignore"):
-            inv_r = np.where(r > 1e-9, 1.0 / r, 0.0)
+        inv_r = self._work3
+        inv_r.fill(0.0)
+        away = np.greater(r, 1e-9, out=self._mask)
+        np.divide(1.0, r, out=inv_r, where=away)
         rho *= expansion_speed
         for offset, momentum in zip(
             offsets, (self.momentum_x, self.momentum_y, self.momentum_z)
@@ -222,7 +252,7 @@ class DiagnosticGrid:
         p2 += np.square(self.momentum_z, out=self._work2)
         ke = self._work2
         ke.fill(0.0)
-        significant = self.density > 1e-12
+        significant = np.greater(self.density, 1e-12, out=self._mask)
         np.divide(p2, self.density, out=ke, where=significant)
         return float(0.5 * ke.sum() * self.cell_volume)
 
@@ -243,22 +273,32 @@ class DiagnosticGrid:
     def solve_gravity(self) -> np.ndarray:
         """Solve nabla^2 phi = 4 pi G rho with an FFT Poisson solver.
 
-        Returns the gravitational potential on the grid.  The periodic
-        images a plain FFT implies are acceptable for a diagnostic
-        substrate (the density is compact and well inside the box);
-        the call's O(n^3 log n) cost per step is the point — it gives
-        the simulation the same work profile as the real code's
+        Returns the gravitational potential on the grid as a new array.
+        The periodic images a plain FFT implies are acceptable for a
+        diagnostic substrate (the density is compact and well inside the
+        box); the call's O(n^3 log n) cost per step is the point — it
+        gives the simulation the same work profile as the real code's
         gravity solve.
         """
-        phi_hat = np.fft.rfftn(self.density)
-        phi_hat *= -4.0 * np.pi
-        phi_hat /= self._k2
-        phi_hat[0, 0, 0] = 0.0
-        n = self.resolution
-        return np.fft.irfftn(phi_hat, s=(n, n, n), axes=(0, 1, 2))
+        return self._potential(np.empty_like(self.density))
 
     def gravitational_energy(self) -> float:
         """Self-gravitational binding energy 0.5 * integral(rho * phi)."""
-        phi = self.solve_gravity()
+        phi = self._potential(self._work)
         phi *= self.density
         return float(0.5 * phi.sum() * self.cell_volume)
+
+    def _potential(self, out: np.ndarray) -> np.ndarray:
+        """Write the potential into ``out``; the FFTs run in ``_spectrum``.
+
+        Bit-identical to ``irfftn(-4 pi rfftn(density) / k2)``: the
+        inverse is ``irfftn``'s own loop (``ifft`` over axes 0 then 1,
+        ``irfft`` over axis 2), each axis written in place.
+        """
+        spectrum = np.fft.rfftn(self.density, out=self._spectrum)
+        spectrum *= -4.0 * np.pi
+        spectrum /= self._k2
+        spectrum[0, 0, 0] = 0.0
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        np.fft.ifft(spectrum, axis=1, out=spectrum)
+        return np.fft.irfft(spectrum, self.resolution, axis=2, out=out)

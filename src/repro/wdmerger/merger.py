@@ -23,6 +23,7 @@ resolution-dependent error and an O(resolution^3) per-step cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +35,7 @@ from repro.wdmerger.burning import BurningModel
 from repro.wdmerger.constants import G, T_CORE_COLD
 from repro.wdmerger.diagnostics import DiagnosticHistory, DiagnosticSample
 from repro.wdmerger.gravwave import separation_decay_rate
-from repro.wdmerger.grid import DiagnosticGrid
+from repro.wdmerger.grid import DiagnosticGrid, check_resolution
 from repro.wdmerger import mass_transfer
 from repro.wdmerger.wd import WhiteDwarf
 
@@ -71,6 +72,8 @@ class WdMergerSimulation:
         detonation lands near the paper's ~30 time-unit delay.
     end_time:
         Simulated end time (code units); Fig. 7/8 span ~100.
+    base_dt:
+        Timestep at resolution 32; must be positive and finite.
     maintain_grid:
         Deposit/integrate on the 3-D grid every step (realistic cost).
         When False, diagnostics come from the analytic state directly
@@ -94,6 +97,11 @@ class WdMergerSimulation:
         ejecta_speed: float = 0.15,
         seed: int = 7,
     ) -> None:
+        resolution = check_resolution(resolution, 1)
+        if not 0 < base_dt < math.inf:
+            raise ConfigurationError(
+                f"base_dt must be positive and finite, got {base_dt}"
+            )
         if end_time <= 0:
             raise ConfigurationError(
                 f"end_time must be positive, got {end_time}"

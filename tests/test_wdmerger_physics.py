@@ -3,6 +3,7 @@ mass transfer, burning, diagnostic grid."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,64 @@ class TestDiagnosticGrid:
         with pytest.raises(ConfigurationError):
             DiagnosticGrid(16, half_width=0)
 
+    @pytest.mark.parametrize("resolution", [16.5, 16.0, True, "16", None])
+    def test_rejects_non_integer_resolution(self, resolution):
+        with pytest.raises(ConfigurationError):
+            DiagnosticGrid(resolution)
+
+    @pytest.mark.parametrize("half_width", [float("nan"), float("inf")])
+    def test_rejects_non_finite_half_width(self, half_width):
+        with pytest.raises(ConfigurationError):
+            DiagnosticGrid(16, half_width=half_width)
+
+    @pytest.mark.parametrize("resolution", [np.int64(16), np.int32(16)])
+    def test_accepts_numpy_integer_resolution(self, resolution):
+        grid = DiagnosticGrid(resolution)
+        assert grid.resolution == 16 and type(grid.resolution) is int
+        assert grid.solve_gravity().shape == (16, 16, 16)
+
+    def test_solve_gravity_returns_an_unaliased_array(self):
+        grid = DiagnosticGrid(16, half_width=3.5)
+        _orbiting_pair(grid)
+        phi = grid.solve_gravity()
+        snapshot = phi.copy()
+        grid.gravitational_energy()
+        grid.clear()
+        _shell(grid)
+        grid.kinetic_energy()
+        assert np.array_equal(phi, snapshot)
+        assert not np.array_equal(grid.solve_gravity(), snapshot)
+        assert grid.solve_gravity() is not grid.solve_gravity()
+
+    def test_warm_step_allocates_no_full_grid_array(self):
+        """A step (clear, deposits, four integrals) runs in owned buffers."""
+        resolution = 64
+        grid = DiagnosticGrid(resolution, half_width=3.5)
+
+        def step():
+            grid.clear()
+            grid.deposit_blob(
+                np.array([1.0, 0.2, 0.0]), 0.9, 0.55, np.array([-0.1, 0.4, 0.0])
+            )
+            grid.deposit_blob(
+                np.array([-1.3, -0.4, 0.0]), 0.6, 0.8,
+                np.array([0.2, -0.6, 0.0]), spin=0.7,
+            )
+            grid.deposit_shell(np.zeros(3), 0.3, 1.9, 0.6, 0.15)
+            grid.total_mass()
+            grid.angular_momentum_z()
+            grid.kinetic_energy()
+            grid.gravitational_energy()
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < resolution**3 * 8 / 4
+
     def test_blob_mass_conserved_on_grid(self):
         grid = DiagnosticGrid(24, half_width=3.0)
         grid.deposit_blob(np.zeros(3), 1.5, 0.8, np.zeros(3))
@@ -465,6 +524,10 @@ class _ReferenceGrid:
         return float(self.density[inside].sum() * self.cell_volume)
 
     def gravitational_energy(self):
+        phi = self.potential()
+        return float(0.5 * (self.density * phi).sum() * self.cell_volume)
+
+    def potential(self):
         rho_hat = np.fft.rfftn(self.density)
         n = self.resolution
         k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=self.dx)
@@ -474,8 +537,7 @@ class _ReferenceGrid:
         k2[0, 0, 0] = 1.0
         phi_hat = -4.0 * np.pi * rho_hat / k2
         phi_hat[0, 0, 0] = 0.0
-        phi = np.fft.irfftn(phi_hat, s=(n, n, n), axes=(0, 1, 2))
-        return float(0.5 * (self.density * phi).sum() * self.cell_volume)
+        return np.fft.irfftn(phi_hat, s=(n, n, n), axes=(0, 1, 2))
 
 
 def _orbiting_pair(grid):
@@ -541,6 +603,7 @@ class TestDiagnosticGridBitIdentity:
             assert (
                 getattr(grid, integral)() == getattr(reference, integral)()
             ), integral
+        assert np.array_equal(grid.solve_gravity(), reference.potential())
         for radius in (0.0, 0.9, 2.0, 10.0):
             assert grid.mass_within(radius) == reference.mass_within(radius)
         # The integrals do not disturb the fields: a second pass agrees.

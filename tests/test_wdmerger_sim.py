@@ -78,6 +78,28 @@ class TestSimulationPhysics:
         with pytest.raises(ConfigurationError):
             WdMergerSimulation(16, disruption_duration=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"resolution": 0},
+            {"resolution": -8},
+            {"resolution": 16.5},
+            {"resolution": True},
+            {"base_dt": float("nan")},
+            {"base_dt": float("inf")},
+            {"base_dt": 0.0},
+        ],
+    )
+    def test_rejects_bad_resolution_and_timestep(self, kwargs):
+        args = {"resolution": 16, "maintain_grid": False, **kwargs}
+        with pytest.raises(ConfigurationError):
+            WdMergerSimulation(**args)
+
+    def test_accepts_numpy_integer_resolution(self):
+        sim = WdMergerSimulation(np.int64(16), maintain_grid=False)
+        assert sim.resolution == 16 and type(sim.resolution) is int
+        assert sim.dt == WdMergerSimulation(16, maintain_grid=False).dt
+
     def test_event_ordering(self, fast_run):
         events = fast_run.events
         assert events.rlof_time is not None
