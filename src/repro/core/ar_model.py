@@ -346,32 +346,6 @@ class ARModel:
         self._updates += 1
         return float(pre_mse)
 
-    def _project_stationary(self) -> None:
-        """Rescale the coefficients if their sum is explosive.
-
-        The sum is evaluated in the *original* data scale (the
-        standardised weights are multiplied by the target/feature std
-        ratios), because the explosive amplification of a growth-locked
-        fit lives in those scale ratios, not in the raw weights.
-        """
-        if self.max_coefficient_sum is None:
-            return
-        scale = float(self._y_stats.std[0]) / self._x_stats.std
-        total = float(np.sum(self._w * scale))
-        if total <= self.max_coefficient_sum:
-            return
-        # Shrink the *deviation from the persistence prior* until the
-        # original-scale coefficient sum sits on the bound.  Scaling the
-        # whole vector instead would erode the dominant persistence
-        # weight and smear the model into a lagging moving average.
-        prior_total = float(np.sum(self._prior * scale))
-        deviation_total = total - prior_total
-        if deviation_total <= 0.0 or prior_total >= self.max_coefficient_sum:
-            self._w *= self.max_coefficient_sum / total
-            return
-        shrink = (self.max_coefficient_sum - prior_total) / deviation_total
-        self._w = self._prior + shrink * (self._w - self._prior)
-
     def fit_exact(self, x: np.ndarray, y: np.ndarray) -> float:
         """Closed-form least-squares fit (ablation baseline).
 

@@ -331,6 +331,14 @@ class DataCollector:
         # exactly as before).
         self.cadence_gate: Optional[Callable[[int], bool]] = None
         self._window_exhausted = False
+        # Row ``i`` indexes the lagged-row window of spatial target
+        # ``first_target_offset + i``, nearest first.
+        self._spatial_index: Optional[np.ndarray] = None
+        if axis == "space":
+            n_targets = spatial.count - self.first_target_offset
+            self._spatial_index = (
+                np.arange(n_targets)[:, None] + np.arange(order - 1, -1, -1)
+            )
 
     def rebind_store(self, store: SeriesStore) -> None:
         """Subscribe this collector to an existing (shared) store.
@@ -500,17 +508,10 @@ class DataCollector:
         # Features ordered nearest-first.  With include_self the window
         # is V(l), V(l-1), ..., V(l-n+1) at the lagged time; without it,
         # the strict predecessors V(l-1), ..., V(l-n).
-        first = self.first_target_offset
-        n_targets = row.shape[0] - first
-        if n_targets <= 0:
-            return []
-        shift = 1 if self.include_self else 0
-        windows = np.lib.stride_tricks.sliding_window_view(lagged, self.order)
-        features = windows[first - self.order + shift: first - self.order
-                           + shift + n_targets, ::-1]
-        targets = row[first:]
+        features = lagged[self._spatial_index]
+        targets = row[self.first_target_offset:]
         losses = self.trainer.push_block(features, targets)
-        self._samples_emitted += n_targets
+        self._samples_emitted += targets.shape[0]
         return losses
 
     @property

@@ -139,6 +139,15 @@ class CurveFitting(Analysis):
             raise ConfigurationError(
                 "threshold-based extraction needs reference_value"
             )
+        # A NaN cut never fires; a zero cut fires on every row.
+        for label, value in (
+            ("threshold", threshold),
+            ("reference_value", reference_value),
+        ):
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{label} must be finite and positive, got {value!r}"
+                )
         effective_lag = temporal.step if lag is None else lag
         self.model = ARModel(
             order,
@@ -222,28 +231,30 @@ class CurveFitting(Analysis):
     def _check_threshold(self, iteration: int) -> Optional[StatusBroadcast]:
         """Emit an event when the newest collected row crosses threshold."""
         store = self.collector.store
-        if len(store) == 0 or store.iterations[-1] != iteration:
+        if store.last_iteration != iteration:
+            return None
+        events = self._threshold_events
+        # Events are appended in iteration order, so only the newest
+        # one can already hold this iteration.
+        if events and events[-1].iteration == iteration:
             return None
         cut = self.threshold * self.reference_value
         row = store.last_row()
-        above = np.abs(row) >= cut
-        if not above.any():
+        above = (np.abs(row) >= cut).nonzero()[0]
+        if above.size == 0:
             return None
-        loc_index = int(np.where(above)[0].max())
+        loc_index = int(above[-1])
         location = int(store.locations[loc_index])
-        already = any(e.iteration == iteration for e in self._threshold_events)
-        if already:
-            return None
         event = ThresholdEvent(
             iteration=iteration,
             location=location,
             value=float(row[loc_index]),
             threshold_value=cut,
         )
-        self._threshold_events.append(event)
+        events.append(event)
         return StatusBroadcast(
             iteration=iteration,
-            predicted_value=float(row[loc_index]),
+            predicted_value=event.value,
             wavefront_rank=self.wavefront_rank(location),
             action=ACTION_CONTINUE,
         )

@@ -40,6 +40,7 @@ contract the Chan merge already makes with the scalar Welford seed.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -146,7 +147,7 @@ def _np_chan_update(
     k = rows.shape[0]
     if k == 0:
         return mean, m2, count
-    block_mean = rows.mean(axis=0)
+    block_mean = np.add.reduce(rows, axis=0) / k
     centered = rows - block_mean
     block_m2 = np.einsum("ij,ij->j", centered, centered)
     delta = block_mean - mean
@@ -193,6 +194,12 @@ def _np_ar_batch_update(
     projection).  Returns ``(w, b, pre_mse, x_mean, x_m2, x_count,
     y_mean, y_m2, y_count)``; the caller writes the stats back into its
     :class:`~repro.core.ar_model.RunningStats` aggregates.
+
+    The cost is numpy call overhead, not arithmetic, so the epoch
+    body keeps the same per-element ufunc sequence with fewer calls:
+    the pre-update residual is epoch 0's, invariants are hoisted, and
+    reductions call ``np.add.reduce`` (what ``np.mean``/``np.sum``
+    wrap) and ``math.sqrt`` directly.  The bits do not change.
     """
     x_mean, x_m2, x_count = _np_chan_update(x_mean, x_m2, x_count, x)
     y_mean, y_m2, y_count = _np_chan_update(
@@ -203,28 +210,34 @@ def _np_ar_batch_update(
 
     xs = (x - x_mean) / x_std
     ys = (y - y_mean[0]) / y_std[0]
+    xs_t = xs.T
+    k = xs.shape[0]
+    two_l2 = 2.0 * l2
+    add = np.add.reduce
 
     w = w.copy()
-    pre_residual = xs @ w + b - ys
-    pre_mse = float(np.mean(pre_residual**2))
+    residual = xs @ w + b - ys
+    pre_mse = float(add(residual**2)) / k
 
-    k = xs.shape[0]
-    for _ in range(epochs):
-        residual = xs @ w + b - ys
-        grad_w = 2.0 * (xs.T @ residual) / k + 2.0 * l2 * (w - prior)
-        grad_b = 2.0 * float(np.mean(residual))
-        norm = float(np.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b))
+    project = max_coefficient_sum > 0.0
+    if project:
+        scale = float(y_std[0]) / x_std
+        prior_total = float(add(prior * scale))
+    for epoch in range(epochs):
+        if epoch:
+            residual = xs @ w + b - ys
+        grad_w = 2.0 * (xs_t @ residual) / k + two_l2 * (w - prior)
+        grad_b = 2.0 * (float(add(residual)) / k)
+        norm = math.sqrt(np.dot(grad_w, grad_w) + grad_b * grad_b)
         if norm > clip:
-            scale = clip / norm
-            grad_w = grad_w * scale
-            grad_b = grad_b * scale
+            clip_scale = clip / norm
+            grad_w = grad_w * clip_scale
+            grad_b = grad_b * clip_scale
         w -= learning_rate * grad_w
         b -= learning_rate * grad_b
-        if max_coefficient_sum > 0.0:
-            scale = float(y_std[0]) / x_std
-            total = float(np.sum(w * scale))
+        if project:
+            total = float(add(w * scale))
             if total > max_coefficient_sum:
-                prior_total = float(np.sum(prior * scale))
                 deviation_total = total - prior_total
                 if (
                     deviation_total <= 0.0

@@ -55,6 +55,9 @@ class LuleshDomain:
         self._radii = np.sqrt(xx**2 + yy**2 + zz**2).ravel()
         self.velocity = np.zeros(size**3)
         self._field_cycle = -1
+        #: ``max |u|`` after the latest step, set once per step by the
+        #: simulation for every analysis tracking the blast velocity.
+        self.peak_speed = 0.0
 
     def xd(self, loc: int) -> float:
         """Velocity magnitude at radial node ``loc`` (paper's provider).
@@ -112,12 +115,3 @@ class LuleshDomain:
         broadcasts carry.
         """
         return int(np.argmax(self.mesh.pressure + self.mesh.q))
-
-    def initial_velocity(self) -> float:
-        """The "velocity initiated by the blast": peak radial speed so far.
-
-        Thresholds in the break-point study are expressed as fractions
-        of this value; callers should read it after the blast has
-        launched (a few iterations in).
-        """
-        return float(np.max(np.abs(self.mesh.u)))

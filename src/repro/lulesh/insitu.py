@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.core.curve_fitting import CurveFitting
 from repro.core.events import ACTION_TERMINATE, StatusBroadcast
 from repro.core.features import BreakPointFeature
@@ -54,7 +52,7 @@ class BreakPointAnalysis(CurveFitting):
             spatial,
             temporal,
             threshold=threshold,
-            reference_value=reference_value or 1.0,
+            reference_value=1.0 if reference_value is None else reference_value,
             **kwargs,
         )
         self.max_location = max_location
@@ -69,8 +67,7 @@ class BreakPointAnalysis(CurveFitting):
         # Track the blast reference velocity as the run's peak so far
         # when the caller did not pin one.
         if self._reference_dynamic:
-            peak = float(np.max(np.abs(domain.mesh.u)))
-            self.reference_value = max(self.reference_value, peak)
+            self.reference_value = max(self.reference_value, domain.peak_speed)
         n = self.collector.rows_ingested
         # Confirmation is due only on iterations that actually collected
         # a sample — the stale count would otherwise retrigger the

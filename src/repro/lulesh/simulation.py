@@ -117,9 +117,9 @@ class LuleshSimulation:
         """One mini-app iteration: dt control, hydro advance, 3-D field."""
         self.hydro.step()
         self.domain.update_field(self.hydro.cycle)
-        self._blast_velocity = max(
-            self._blast_velocity, float(np.max(np.abs(self.hydro.mesh.u)))
-        )
+        peak = float(np.max(np.abs(self.hydro.mesh.u)))
+        self.domain.peak_speed = peak
+        self._blast_velocity = max(self._blast_velocity, peak)
         if self.record_locations is not None:
             self._recorded.append(
                 np.abs(self.hydro.mesh.u[self.record_locations])

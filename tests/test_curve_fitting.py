@@ -62,6 +62,29 @@ class TestConstruction:
                 _provider, (0, 5, 1), (1, 10, 1), threshold=0.1
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.5])
+    def test_threshold_must_be_finite_and_positive(self, bad):
+        # A NaN cut never fires; a zero cut fires on every row.
+        with pytest.raises(ConfigurationError, match="threshold"):
+            CurveFitting(
+                _provider,
+                (0, 5, 1),
+                (1, 10, 1),
+                threshold=bad,
+                reference_value=1.0,
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), 0.0, -2.0])
+    def test_reference_value_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ConfigurationError, match="reference_value"):
+            CurveFitting(
+                _provider,
+                (0, 5, 1),
+                (1, 10, 1),
+                threshold=0.1,
+                reference_value=bad,
+            )
+
     def test_lag_defaults_to_temporal_step(self):
         analysis = CurveFitting(_provider, (0, 5, 1), (2, 20, 2))
         assert analysis.model.lag == 2
@@ -128,6 +151,35 @@ class TestThresholdEvents:
         events = analysis.threshold_events
         assert events
         assert all(abs(e.value) >= e.threshold_value for e in events)
+
+    def test_events_ordered_and_once_per_iteration(self):
+        # The window outlasts the run, so thresholds are still checked
+        # on the last iteration driven.
+        domain = _WaveDomain()
+        analysis = CurveFitting(
+            _provider,
+            IterParam(0, 12, 1),
+            IterParam(1, 200, 1),
+            order=3,
+            lag=2,
+            batch_size=8,
+            threshold=0.5,
+            reference_value=1.0,
+        )
+        region = Region(domain=domain)
+        region.add_analysis(analysis)
+        for _ in range(80):
+            region.begin()
+            domain.t = region.iteration
+            region.end()
+        events = analysis.threshold_events
+        iterations = [e.iteration for e in events]
+        assert len(iterations) > 1
+        assert all(a < b for a, b in zip(iterations, iterations[1:]))
+        last = analysis.collector.store.last_iteration
+        assert iterations[-1] == last
+        assert analysis._check_threshold(last) is None
+        assert analysis.threshold_events == events
 
     def test_no_events_above_unreachable_threshold(self):
         analysis, _ = _run_wave_analysis(

@@ -95,6 +95,17 @@ class TestSimulation:
         assert sim.blast_velocity >= float(np.max(np.abs(sim.hydro.mesh.u)))
         assert sim.blast_velocity > 0
 
+    def test_step_publishes_peak_speed_on_domain(self):
+        sim = LuleshSimulation(10, maintain_field=False, stop_time=0.2)
+        assert sim.domain.peak_speed == 0.0
+        running = 0.0
+        for _ in range(20):
+            sim.step()
+            peak = float(np.max(np.abs(sim.hydro.mesh.u)))
+            assert sim.domain.peak_speed == peak
+            running = max(running, peak)
+            assert sim.blast_velocity == running
+
     def test_peak_profile_requires_recording(self):
         sim = LuleshSimulation(10, maintain_field=False, stop_time=0.05)
         sim.run()
@@ -146,6 +157,19 @@ class TestBreakPointAnalysis:
                 threshold=0.1,
                 max_location=20,
                 check_every=0,
+            )
+
+    def test_explicit_zero_reference_rejected(self):
+        # ``None`` tracks the blast; an explicit 0.0 used to be turned
+        # into 1.0 silently.
+        with pytest.raises(ConfigurationError, match="reference_value"):
+            BreakPointAnalysis(
+                lambda d, loc: 0.0,
+                IterParam(1, 8, 1),
+                IterParam(1, 100, 1),
+                threshold=0.1,
+                reference_value=0.0,
+                max_location=20,
             )
 
     def test_terminates_no_later_than_window_end(self):
